@@ -9,14 +9,16 @@
 //! therefore byte-equal to the simulated one — not merely close — which is
 //! what lets the differential harness assert checksum equality instead of
 //! tolerances.
+//!
+//! As in the arrays, the ROMs are programmed once, when a [`GoldenDct`] is
+//! built (the hardware writes them at configuration time); a transform only
+//! streams addresses through those fixed tables and allocates nothing.
 
 use dsra_core::error::Result;
 use dsra_core::fixed::{from_signed, mask, to_signed};
 use dsra_core::netlist::Netlist;
 use dsra_dct::da::{da_rom_contents, encode_sample};
-use dsra_dct::factor::{
-    odd_target, solve_sandwich, solve_scaled_sandwich, Sandwich, ScaledSandwich,
-};
+use dsra_dct::factor::{odd_target, solve_sandwich, solve_scaled_sandwich, M4};
 use dsra_dct::reference::{alpha, dct_coeff};
 use dsra_dct::scc::{exponent_of, scc_odd_coeff};
 use dsra_dct::{DaParams, DctImpl};
@@ -30,26 +32,71 @@ use crate::mapping::DctMapping;
 /// (sign-extended from the input width; mirrors the arrays' stage width).
 const STAGE_WIDTH: u8 = 16;
 
-/// Replays one bit-serial DA lane: `streams[i]` supplies address bit `i`
-/// at serial step `t`, the addressed ROM word (programmed from `coeffs`)
-/// is aligned and accumulated with a subtracting final cycle, and the
-/// accumulator arithmetic-shifts right each step — exactly the
-/// shift-accumulator cluster's update rule.
-fn da_lane(streams: &[u64], coeffs: &[f64], params: &DaParams, bits: u8) -> u64 {
-    let rom = da_rom_contents(coeffs, params.q());
-    let align = u32::from(params.align());
-    let mut acc = 0u64;
-    for t in 0..bits {
-        let mut addr = 0usize;
-        for (i, s) in streams.iter().enumerate() {
-            addr |= (((s >> t) & 1) as usize) << i;
+/// Longest serial stream a lane can replay (bit `t` of a `u64` stream).
+const MAX_BITS: usize = 64;
+
+/// The address sequence a group of serialisers presents to every ROM on
+/// their shared bus: bit `i` of the address at serial step `t` is bit `t`
+/// of `streams[i]`. Built once per block and replayed by each lane.
+struct Bus {
+    addrs: [u16; MAX_BITS],
+    bits: usize,
+}
+
+impl Bus {
+    fn new(streams: &[u64], bits: u8) -> Self {
+        let mut addrs = [0u16; MAX_BITS];
+        for (t, addr) in addrs[..usize::from(bits)].iter_mut().enumerate() {
+            for (i, s) in streams.iter().enumerate() {
+                *addr |= (((s >> t) & 1) as u16) << i;
+            }
         }
-        let word = to_signed(rom[addr], params.rom_width);
-        let sgn: i64 = if t + 1 == bits { -1 } else { 1 };
-        let a = to_signed(acc, params.acc_width) + sgn * (word << align);
-        acc = from_signed(a >> 1, params.acc_width);
+        Bus {
+            addrs,
+            bits: usize::from(bits),
+        }
     }
-    acc
+}
+
+/// One programmed DA lane: its ROM's words, each sign-extended from
+/// `rom_width` and shifted left by `align()` — exactly the operand the
+/// shift-accumulator cluster adds when that address is presented.
+struct Lane {
+    words: Box<[i64]>,
+}
+
+impl Lane {
+    /// Programs the ROM of a DA unit with coefficients `coeffs`.
+    fn program(coeffs: &[f64], params: &DaParams) -> Self {
+        let align = u32::from(params.align());
+        let words = da_rom_contents(coeffs, params.q())
+            .into_iter()
+            .map(|w| to_signed(w, params.rom_width) << align)
+            .collect();
+        Lane { words }
+    }
+
+    /// Replays the shift-accumulator over the bus's address sequence: add
+    /// the addressed word, subtract it on the final (sign) cycle, and
+    /// arithmetic-shift right each step, wrapping to `acc_width` — the
+    /// shift-accumulator cluster's update rule.
+    fn replay(&self, bus: &Bus, acc_width: u8) -> u64 {
+        let mut acc = 0u64;
+        for (t, &addr) in bus.addrs[..bus.bits].iter().enumerate() {
+            let word = self.words[usize::from(addr)];
+            let operand = if t + 1 == bus.bits { -word } else { word };
+            acc = from_signed((to_signed(acc, acc_width) + operand) >> 1, acc_width);
+        }
+        acc
+    }
+}
+
+/// Programs one lane per coefficient row.
+fn program_rows<const N: usize, const K: usize>(
+    rows: &[[f64; K]; N],
+    params: &DaParams,
+) -> [Lane; N] {
+    std::array::from_fn(|r| Lane::program(&rows[r], params))
 }
 
 /// Encodes the input block exactly as the array input pins see it: each
@@ -65,41 +112,41 @@ fn stage(v: i64) -> i64 {
 }
 
 /// Direct DA (Fig. 4 / Fig. 9): eight serialised inputs address per-output
-/// ROMs. `perm[slot]` is the input index wired to serialiser `slot` — the
-/// identity for the basic DA, Li's exponent reordering for the full SCC.
-fn direct_transform(x: &[i64; 8], params: &DaParams, perm: &[usize; 8]) -> [f64; 8] {
+/// ROMs `lanes[u]`. `perm[slot]` is the input index wired to serialiser
+/// `slot` — the identity for the basic DA, Li's exponent reordering for the
+/// full SCC.
+fn direct_transform(
+    x: &[i64; 8],
+    params: &DaParams,
+    perm: &[usize; 8],
+    lanes: &[Lane; 8],
+) -> [f64; 8] {
     let bits = params.input_bits;
     let xe = encode_block(x, bits);
-    let streams: Vec<u64> = perm.iter().map(|&i| encode_sample(xe[i], bits)).collect();
-    std::array::from_fn(|u| {
-        let coeffs: Vec<f64> = perm.iter().map(|&i| dct_coeff(u, i)).collect();
-        params.decode_acc(da_lane(&streams, &coeffs, params, bits), bits)
-    })
+    let streams: [u64; 8] = std::array::from_fn(|slot| encode_sample(xe[perm[slot]], bits));
+    let bus = Bus::new(&streams, bits);
+    std::array::from_fn(|u| params.decode_acc(lanes[u].replay(&bus, params.acc_width), bits))
 }
 
 /// Even/odd split (Fig. 5 / Fig. 8): 16-bit butterfly sums `a_n` and
 /// differences `b_n` feed 4-input DA lanes over `input_bits + 2` serial
-/// cycles. `odd_coeff(k, n)` selects the odd-part table (plain DCT rows
-/// for the Mixed-ROM, the skew-circular rotation for the SCC).
+/// cycles. `odd[k]` holds the odd-part table (plain DCT rows for the
+/// Mixed-ROM, the skew-circular rotation for the SCC).
 fn even_odd_transform(
     x: &[i64; 8],
     params: &DaParams,
-    odd_coeff: impl Fn(usize, usize) -> f64,
+    even: &[Lane; 4],
+    odd: &[Lane; 4],
 ) -> [f64; 8] {
     let bits = params.input_bits + 2;
     let xe = encode_block(x, params.input_bits);
-    let sa: Vec<u64> = (0..4)
-        .map(|n| from_signed(xe[n] + xe[7 - n], STAGE_WIDTH))
-        .collect();
-    let sb: Vec<u64> = (0..4)
-        .map(|n| from_signed(xe[n] - xe[7 - n], STAGE_WIDTH))
-        .collect();
+    let sa: [u64; 4] = std::array::from_fn(|n| from_signed(xe[n] + xe[7 - n], STAGE_WIDTH));
+    let sb: [u64; 4] = std::array::from_fn(|n| from_signed(xe[n] - xe[7 - n], STAGE_WIDTH));
+    let (bus_a, bus_b) = (Bus::new(&sa, bits), Bus::new(&sb, bits));
     let mut y = [0.0; 8];
     for k in 0..4 {
-        let even: Vec<f64> = (0..4).map(|n| dct_coeff(2 * k, n)).collect();
-        y[2 * k] = params.decode_acc(da_lane(&sa, &even, params, bits), bits);
-        let odd: Vec<f64> = (0..4).map(|n| odd_coeff(k, n)).collect();
-        y[2 * k + 1] = params.decode_acc(da_lane(&sb, &odd, params, bits), bits);
+        y[2 * k] = params.decode_acc(even[k].replay(&bus_a, params.acc_width), bits);
+        y[2 * k + 1] = params.decode_acc(odd[k].replay(&bus_b, params.acc_width), bits);
     }
     y
 }
@@ -154,6 +201,22 @@ fn row_ops(row: &[f64; 4]) -> (usize, usize, bool) {
     (nz[0], nz[1], row[nz[1]] < 0.0)
 }
 
+/// The DA rows of the CORDIC even outputs, in the order `y0, y4` (fed by
+/// `u0, u1`) then `y2, y6` (fed by `u2, u3`).
+fn cordic_even_rows() -> [[f64; 2]; 4] {
+    let a = alpha(1);
+    let a0 = alpha(0);
+    let c4 = (std::f64::consts::PI / 4.0).cos();
+    let c2 = (std::f64::consts::PI / 8.0).cos();
+    let s2 = (std::f64::consts::PI / 8.0).sin();
+    [
+        [a0, a0],
+        [a * c4, -a * c4],
+        [a * s2, a * c2],
+        [-a * c2, a * s2],
+    ]
+}
+
 /// The shared CORDIC front end: 16-bit `a`/`b` butterflies, then the `u`
 /// stage over the sums. Returns the raw `b_n` serial streams and the signed
 /// `u` values.
@@ -170,111 +233,117 @@ fn cordic_front(x: &[i64; 8], params: &DaParams) -> ([u64; 4], [i64; 4]) {
     (b, u)
 }
 
-/// Phase-1 X rotators + discard + serial butterfly, shared by both CORDIC
-/// odd paths: returns `H_r = A'_{c1} ± A'_{c2}` where `A'` is the
-/// presh-discarded phase-1 accumulator.
-fn cordic_odd_h(
-    b: &[u64; 4],
-    x_pairs: ((usize, usize), (usize, usize)),
-    x_blocks: &[[[f64; 2]; 2]; 2],
-    butterfly: &[[f64; 4]; 4],
-    params: &DaParams,
-    sched: &Sched,
-) -> [i64; 4] {
-    let mut p = [0u64; 4];
-    for (bi, pair) in [x_pairs.0, x_pairs.1].into_iter().enumerate() {
-        let streams = [b[pair.0], b[pair.1]];
-        p[pair.0] = da_lane(&streams, &x_blocks[bi][0], params, sched.b1);
-        p[pair.1] = da_lane(&streams, &x_blocks[bi][1], params, sched.b1);
-    }
-    let ap: [i64; 4] =
-        std::array::from_fn(|r| to_signed(p[r], params.acc_width) >> u32::from(sched.presh));
-    std::array::from_fn(|r| {
-        let (c1, c2, sign) = row_ops(&butterfly[r]);
-        if sign {
-            ap[c1] - ap[c2]
-        } else {
-            ap[c1] + ap[c2]
-        }
-    })
+/// Phase-1 X rotators, presh discard and serial butterfly, shared by both
+/// CORDIC odd paths.
+struct OddFront {
+    sched: Sched,
+    /// Which `b` streams each X rotator consumes.
+    x_pairs: [(usize, usize); 2],
+    /// `x[bi][r]`: the ROM producing `p[x_pairs[bi].r]`.
+    x: [[Lane; 2]; 2],
+    /// Butterfly rows as `(c1, c2, subtract)`.
+    butterfly: [(usize, usize, bool); 4],
 }
 
-fn cordic1_transform(x: &[i64; 8], params: &DaParams, fact: &Sandwich, sched: &Sched) -> [f64; 8] {
+impl OddFront {
+    fn program(
+        sched: Sched,
+        x_pairs: ((usize, usize), (usize, usize)),
+        x_blocks: &[[[f64; 2]; 2]; 2],
+        butterfly: &M4,
+        params: &DaParams,
+    ) -> Self {
+        OddFront {
+            sched,
+            x_pairs: [x_pairs.0, x_pairs.1],
+            x: std::array::from_fn(|bi| program_rows(&x_blocks[bi], params)),
+            butterfly: std::array::from_fn(|r| row_ops(&butterfly[r])),
+        }
+    }
+
+    /// Returns `H_r = A'_{c1} ± A'_{c2}` where `A'` is the presh-discarded
+    /// phase-1 accumulator.
+    fn h(&self, b: &[u64; 4], params: &DaParams) -> [i64; 4] {
+        let mut p = [0u64; 4];
+        for (&(i, j), lanes) in self.x_pairs.iter().zip(&self.x) {
+            let bus = Bus::new(&[b[i], b[j]], self.sched.b1);
+            p[i] = lanes[0].replay(&bus, params.acc_width);
+            p[j] = lanes[1].replay(&bus, params.acc_width);
+        }
+        let ap: [i64; 4] = std::array::from_fn(|r| {
+            to_signed(p[r], params.acc_width) >> u32::from(self.sched.presh)
+        });
+        self.butterfly.map(|(c1, c2, sub)| {
+            if sub {
+                ap[c1] - ap[c2]
+            } else {
+                ap[c1] + ap[c2]
+            }
+        })
+    }
+}
+
+/// Fig. 6 two-phase sandwich factorization: `even` holds the `y0, y4, y2,
+/// y6` lanes, `y[bi][r]` the Y rotator producing odd output `y_pairs[bi].r`.
+fn cordic1_transform(
+    x: &[i64; 8],
+    params: &DaParams,
+    odd: &OddFront,
+    y_pairs: &[(usize, usize); 2],
+    y_lanes: &[[Lane; 2]; 2],
+    even: &[Lane; 4],
+) -> [f64; 8] {
+    let sched = odd.sched;
     let (b, u) = cordic_front(x, params);
     let su: [u64; 4] = std::array::from_fn(|i| from_signed(u[i], STAGE_WIDTH));
-    let a = alpha(1);
-    let a0 = alpha(0);
-    let c4 = (std::f64::consts::PI / 4.0).cos();
-    let c2 = (std::f64::consts::PI / 8.0).cos();
-    let s2 = (std::f64::consts::PI / 8.0).sin();
+    let bus01 = Bus::new(&[su[0], su[1]], sched.b1);
+    let bus23 = Bus::new(&[su[2], su[3]], sched.b1);
+    let decode =
+        |lane: &Lane, bus: &Bus| params.decode_acc(lane.replay(bus, params.acc_width), sched.b1);
     let mut y = [0.0; 8];
-    let even = |streams: [u64; 2], row: [f64; 2]| {
-        params.decode_acc(da_lane(&streams, &row, params, sched.b1), sched.b1)
-    };
-    y[0] = even([su[0], su[1]], [a0, a0]);
-    y[4] = even([su[0], su[1]], [a * c4, -a * c4]);
-    y[2] = even([su[2], su[3]], [a * s2, a * c2]);
-    y[6] = even([su[2], su[3]], [-a * c2, a * s2]);
+    y[0] = decode(&even[0], &bus01);
+    y[4] = decode(&even[1], &bus01);
+    y[2] = decode(&even[2], &bus23);
+    y[6] = decode(&even[3], &bus23);
 
-    let h = cordic_odd_h(
-        &b,
-        fact.x_pairs,
-        &fact.x_blocks,
-        &fact.butterfly,
-        params,
-        sched,
-    );
+    let h = odd.h(&b, params);
     let exp = sched.phase2_exp(params);
-    for (bi, pair) in [fact.y_pairs.0, fact.y_pairs.1].into_iter().enumerate() {
+    for (&(i, j), lanes) in y_pairs.iter().zip(y_lanes) {
         // Phase 2: the Y rotators accumulate the serial H streams for b2
         // cycles (sub on the last); H's two's-complement bits are exactly
         // what the serial adders emit.
-        let streams = [h[pair.0] as u64, h[pair.1] as u64];
-        for (r, out) in [pair.0, pair.1].into_iter().enumerate() {
-            let raw = da_lane(&streams, &fact.y_blocks[bi][r], params, sched.b2);
+        let bus = Bus::new(&[h[i] as u64, h[j] as u64], sched.b2);
+        for (out, lane) in [i, j].into_iter().zip(lanes) {
+            let raw = lane.replay(&bus, params.acc_width);
             y[2 * out + 1] = to_signed(raw, params.acc_width) as f64 * 2f64.powi(exp);
         }
     }
     y
 }
 
+/// Fig. 7 scaled factorization with serial output taps: `even` holds the
+/// `y2, y6` lanes.
 fn cordic2_transform(
     x: &[i64; 8],
     params: &DaParams,
-    fact: &ScaledSandwich,
-    sched: &Sched,
+    odd: &OddFront,
+    post_pair: (usize, usize),
+    scales: &[f64; 4],
+    even: &[Lane; 2],
 ) -> [f64; 8] {
+    let sched = odd.sched;
     let (b, u) = cordic_front(x, params);
-    let a = alpha(1);
-    let a0 = alpha(0);
-    let c4 = (std::f64::consts::PI / 4.0).cos();
-    let c2 = (std::f64::consts::PI / 8.0).cos();
-    let s2 = (std::f64::consts::PI / 8.0).sin();
     let mut y = [0.0; 8];
     // X0/X4 leave the array as parallel 16-bit adder outputs; the scale
     // factors are applied driver-side (standing in for the quantiser).
-    y[0] = stage(u[0] + u[1]) as f64 * a0;
-    y[4] = stage(u[0] - u[1]) as f64 * a * c4;
-    let su2 = from_signed(u[2], STAGE_WIDTH);
-    let su3 = from_signed(u[3], STAGE_WIDTH);
-    y[2] = params.decode_acc(
-        da_lane(&[su2, su3], &[a * s2, a * c2], params, sched.b1),
-        sched.b1,
-    );
-    y[6] = params.decode_acc(
-        da_lane(&[su2, su3], &[-a * c2, a * s2], params, sched.b1),
-        sched.b1,
-    );
+    y[0] = stage(u[0] + u[1]) as f64 * alpha(0);
+    y[4] = stage(u[0] - u[1]) as f64 * alpha(1) * (std::f64::consts::PI / 4.0).cos();
+    let bus23 = Bus::new(&[u[2], u[3]].map(|v| from_signed(v, STAGE_WIDTH)), sched.b1);
+    y[2] = params.decode_acc(even[0].replay(&bus23, params.acc_width), sched.b1);
+    y[6] = params.decode_acc(even[1].replay(&bus23, params.acc_width), sched.b1);
 
-    let h = cordic_odd_h(
-        &b,
-        fact.x_pairs,
-        &fact.x_blocks,
-        &fact.butterfly,
-        params,
-        sched,
-    );
-    let (pi, pj) = fact.post_pair;
+    let h = odd.h(&b, params);
+    let (pi, pj) = post_pair;
     let exp = sched.stream_exp(params);
     for r in 0..4 {
         // The serial post network combines the post pair and passes the
@@ -288,21 +357,32 @@ fn cordic2_transform(
             h[r]
         };
         let stream = mask(comb as u64, sched.b2);
-        y[2 * r + 1] = to_signed(stream, sched.b2) as f64 * 2f64.powi(exp) * fact.scales[r];
+        y[2 * r + 1] = to_signed(stream, sched.b2) as f64 * 2f64.powi(exp) * scales[r];
     }
     y
 }
 
-/// Which software model a [`GoldenDct`] replays.
+/// Which software model a [`GoldenDct`] replays, with its programmed ROMs.
 enum Model {
-    /// Fig. 4 / Fig. 9 direct DA; `perm[slot]` = input index in that slot.
-    Direct { perm: [usize; 8] },
-    /// Fig. 5 / Fig. 8 even/odd split; `scc` selects the odd-part table.
-    EvenOdd { scc: bool },
+    /// Fig. 4 / Fig. 9 direct DA; `perm[slot]` = input index in that slot,
+    /// `lanes[u]` = the ROM of output `u`.
+    Direct { perm: [usize; 8], lanes: [Lane; 8] },
+    /// Fig. 5 / Fig. 8 even/odd split.
+    EvenOdd { even: [Lane; 4], odd: [Lane; 4] },
     /// Fig. 6 two-phase sandwich factorization.
-    Cordic1 { fact: Sandwich, sched: Sched },
+    Cordic1 {
+        odd: OddFront,
+        y_pairs: [(usize, usize); 2],
+        y: [[Lane; 2]; 2],
+        even: [Lane; 4],
+    },
     /// Fig. 7 scaled factorization with serial output taps.
-    Cordic2 { fact: ScaledSandwich, sched: Sched },
+    Cordic2 {
+        odd: OddFront,
+        post_pair: (usize, usize),
+        scales: [f64; 4],
+        even: [Lane; 2],
+    },
 }
 
 /// A software golden reference for one DCT mapping, bit-exact against the
@@ -318,7 +398,8 @@ pub struct GoldenDct {
 }
 
 impl GoldenDct {
-    /// Builds the golden model for `mapping`.
+    /// Builds the golden model for `mapping`, programming every DA lane's
+    /// ROM for `params` once, as the array's configuration does.
     ///
     /// # Errors
     /// Never fails today; `Result` mirrors [`DctMapping::build`] so the two
@@ -331,11 +412,24 @@ impl GoldenDct {
                 .map(|row| row[0].abs() + row[1].abs())
                 .fold(0.0f64, f64::max)
         };
+        let direct = |perm: [usize; 8]| Model::Direct {
+            perm,
+            lanes: program_rows(
+                &std::array::from_fn(|u| perm.map(|i| dct_coeff(u, i))),
+                &params,
+            ),
+        };
+        let rows = |f: fn(usize, usize) -> f64| -> [[f64; 4]; 4] {
+            std::array::from_fn(|k| std::array::from_fn(|n| f(k, n)))
+        };
+        let even_odd = |odd: fn(usize, usize) -> f64| Model::EvenOdd {
+            even: program_rows(&rows(|k, n| dct_coeff(2 * k, n)), &params),
+            odd: program_rows(&rows(odd), &params),
+        };
+        let even_rows = cordic_even_rows();
         let (model, cycles) = match mapping {
             DctMapping::BasicDa => (
-                Model::Direct {
-                    perm: std::array::from_fn(|i| i),
-                },
+                direct(std::array::from_fn(|i| i)),
                 u64::from(params.input_bits) + 2,
             ),
             DctMapping::SccFull => {
@@ -345,29 +439,48 @@ impl GoldenDct {
                 for i in 0..8 {
                     perm[exponent_of(2 * i + 1)] = i;
                 }
-                (Model::Direct { perm }, u64::from(params.input_bits) + 2)
+                (direct(perm), u64::from(params.input_bits) + 2)
             }
             DctMapping::MixedRom => (
-                Model::EvenOdd { scc: false },
+                even_odd(|k, n| dct_coeff(2 * k + 1, n)),
                 u64::from(params.input_bits) + 4,
             ),
-            DctMapping::SccEvenOdd => (
-                Model::EvenOdd { scc: true },
-                u64::from(params.input_bits) + 4,
-            ),
+            DctMapping::SccEvenOdd => (even_odd(scc_odd_coeff), u64::from(params.input_bits) + 4),
             DctMapping::Cordic1 => {
                 let fact = solve_sandwich(&odd_target());
                 let sched = Sched::for_params(&params, max_row_norm(&fact.x_blocks));
-                let cycles = sched.cycles();
-                (Model::Cordic1 { fact, sched }, cycles)
+                let model = Model::Cordic1 {
+                    odd: OddFront::program(
+                        sched,
+                        fact.x_pairs,
+                        &fact.x_blocks,
+                        &fact.butterfly,
+                        &params,
+                    ),
+                    y_pairs: [fact.y_pairs.0, fact.y_pairs.1],
+                    y: std::array::from_fn(|bi| program_rows(&fact.y_blocks[bi], &params)),
+                    even: program_rows(&even_rows, &params),
+                };
+                (model, sched.cycles())
             }
             DctMapping::Cordic2 => {
                 let fact = solve_scaled_sandwich(&odd_target());
                 let mut sched = Sched::for_params(&params, max_row_norm(&fact.x_blocks));
                 // Streams pass two serial levels: one extra guard bit.
                 sched.presh += 1;
-                let cycles = sched.cycles();
-                (Model::Cordic2 { fact, sched }, cycles)
+                let model = Model::Cordic2 {
+                    odd: OddFront::program(
+                        sched,
+                        fact.x_pairs,
+                        &fact.x_blocks,
+                        &fact.butterfly,
+                        &params,
+                    ),
+                    post_pair: fact.post_pair,
+                    scales: fact.scales,
+                    even: program_rows(&[even_rows[2], even_rows[3]], &params),
+                };
+                (model, sched.cycles())
             }
         };
         Ok(GoldenDct {
@@ -399,14 +512,22 @@ impl DctImpl for GoldenDct {
     }
 
     fn transform(&self, x: &[i64; 8]) -> Result<[f64; 8]> {
+        let params = &self.params;
         Ok(match &self.model {
-            Model::Direct { perm } => direct_transform(x, &self.params, perm),
-            Model::EvenOdd { scc: false } => {
-                even_odd_transform(x, &self.params, |k, n| dct_coeff(2 * k + 1, n))
-            }
-            Model::EvenOdd { scc: true } => even_odd_transform(x, &self.params, scc_odd_coeff),
-            Model::Cordic1 { fact, sched } => cordic1_transform(x, &self.params, fact, sched),
-            Model::Cordic2 { fact, sched } => cordic2_transform(x, &self.params, fact, sched),
+            Model::Direct { perm, lanes } => direct_transform(x, params, perm, lanes),
+            Model::EvenOdd { even, odd } => even_odd_transform(x, params, even, odd),
+            Model::Cordic1 {
+                odd,
+                y_pairs,
+                y,
+                even,
+            } => cordic1_transform(x, params, odd, y_pairs, y, even),
+            Model::Cordic2 {
+                odd,
+                post_pair,
+                scales,
+                even,
+            } => cordic2_transform(x, params, odd, *post_pair, scales, even),
         })
     }
 

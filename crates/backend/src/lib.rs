@@ -111,15 +111,16 @@ impl BackendKind {
 }
 
 /// The golden backend: software reference models only — no netlists, no
-/// simulator. Caches one [`GoldenDct`] per mapping.
+/// simulator. Caches one [`GoldenDct`] per (mapping, params): a model's
+/// ROMs are programmed for the params it was built with.
 #[derive(Default)]
 pub struct GoldenBackend {
-    dct_impls: std::collections::HashMap<&'static str, GoldenDct>,
+    dct_impls: std::collections::HashMap<(DctMapping, DaParams), GoldenDct>,
 }
 
 impl PayloadEngines for GoldenBackend {
     fn dct(&mut self, params: DaParams, mapping: DctMapping) -> Result<&dyn DctImpl> {
-        Ok(match self.dct_impls.entry(mapping.name()) {
+        Ok(match self.dct_impls.entry((mapping, params)) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(GoldenDct::new(mapping, params)?)
@@ -156,7 +157,7 @@ impl Backend for GoldenBackend {
 }
 
 /// What a backend must provide to the shared payload driver: a (cached)
-/// DCT implementation per mapping and a motion-search engine.
+/// DCT implementation per (mapping, params) and a motion-search engine.
 pub(crate) trait PayloadEngines {
     fn dct(&mut self, params: DaParams, mapping: DctMapping) -> Result<&dyn DctImpl>;
 

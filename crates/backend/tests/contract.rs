@@ -51,7 +51,11 @@ fn encode_job(id: u32, seed: u64, size: (u16, u16), frames: u8, noise: u8) -> Jo
 
 /// Runs one job through both backends and asserts identical outcomes.
 fn assert_agree(job: &JobSpec, kernel: &str) {
-    let params = DaParams::precise();
+    assert_agree_under(DaParams::precise(), job, kernel);
+}
+
+/// [`assert_agree`] under the given fixed-point configuration.
+fn assert_agree_under(params: DaParams, job: &JobSpec, kernel: &str) {
     let array = ArrayBackend::default()
         .execute(params, job, kernel)
         .expect("array backend");
@@ -60,7 +64,7 @@ fn assert_agree(job: &JobSpec, kernel: &str) {
         .expect("golden backend");
     assert_eq!(
         array, golden,
-        "job {} on `{kernel}`: array vs golden outcome diverged",
+        "job {} on `{kernel}` under {params:?}: array vs golden outcome diverged",
         job.id
     );
 }
@@ -115,6 +119,58 @@ fn encode_contract_randomized() {
     for (i, mapping) in DctMapping::ALL.into_iter().enumerate() {
         let job = encode_job(3000 + i as u32, 42 + i as u64, (48, 48), 3, 2);
         assert_agree(&job, mapping.name());
+    }
+}
+
+/// The paper's Fig. 4 widths truncate in the accumulator (8-bit ROM words,
+/// 16-bit accumulators): the golden ROM tables, programmed for these params
+/// at construction, must still match the array bit for bit.
+#[test]
+fn truncating_params_contract_all_mappings() {
+    let params = DaParams::paper();
+    for (i, mapping) in DctMapping::ALL.into_iter().enumerate() {
+        let id = 7000 + (i as u32) * 10;
+        for seed in 0..4u64 {
+            let job = dct_job(id + seed as u32, 0x51_7EED ^ (seed * 0x2545_F491), 6, 120);
+            assert_agree_under(params, &job, mapping.name());
+        }
+        assert_agree_under(params, &dct_job(id + 4, 7, 4, 255), mapping.name());
+        assert_agree_under(params, &dct_job(id + 5, 11, 4, 1), mapping.name());
+        let job = encode_job(id + 6, 42 + i as u64, (48, 48), 3, 2);
+        assert_agree_under(params, &job, mapping.name());
+    }
+}
+
+/// A reused backend must not serve a model built for other params: each
+/// kind's outcome after a params change equals a fresh backend's, in both
+/// directions.
+#[test]
+fn reused_backend_follows_params_changes() {
+    let job = dct_job(8000, 0x00C0_FFEE, 4, 200);
+    let (paper, precise) = (DaParams::paper(), DaParams::precise());
+    for kind in BackendKind::ALL {
+        for mapping in DctMapping::ALL {
+            let kernel = mapping.name();
+            let fresh = |params| kind.build().execute(params, &job, kernel).unwrap();
+            let (want_paper, want_precise) = (fresh(paper), fresh(precise));
+            assert_ne!(
+                want_paper.checksum, want_precise.checksum,
+                "{kernel}: the two params must give distinguishable outcomes"
+            );
+            let mut reused = kind.build();
+            for (params, want) in [
+                (paper, want_paper),
+                (precise, want_precise),
+                (paper, want_paper),
+            ] {
+                assert_eq!(
+                    reused.execute(params, &job, kernel).unwrap(),
+                    want,
+                    "{} backend on `{kernel}` under {params:?}: stale model",
+                    kind.name()
+                );
+            }
+        }
     }
 }
 

@@ -6,10 +6,15 @@
 //! configuration, and uninstalling it restores the allocation-free path.
 //!
 //! Lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide. For the same reason the tests
+//! here must not overlap: each holds [`SERIAL`] for its whole body, so the
+//! harness's parallel runner cannot count one test's allocations in
+//! another's window. (Thread-local counters would not do: `serve` allocates
+//! on its per-array worker threads too.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use dsra_monitor::MonitorConfig;
 use dsra_runtime::{DctMapping, RuntimeConfig, SocRuntime};
@@ -35,6 +40,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Serialises the tests of this binary; a test that failed while holding
+/// the lock does not fail the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = f();
@@ -43,6 +58,7 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn noop_tracing_adds_no_serve_allocations() {
+    let _serial = serial();
     let mix = generate_job_mix(JobMixConfig {
         jobs: 40,
         ..Default::default()
@@ -96,6 +112,7 @@ fn noop_tracing_adds_no_serve_allocations() {
 
 #[test]
 fn monitor_sink_preserves_outcomes_and_its_allocations_stay_bounded() {
+    let _serial = serial();
     let mix = generate_job_mix(JobMixConfig {
         jobs: 40,
         ..Default::default()

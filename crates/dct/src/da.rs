@@ -12,7 +12,7 @@ use dsra_core::fixed::{from_signed, to_signed, Q};
 use dsra_core::netlist::{Netlist, NodeId};
 
 /// Fixed-point parameters of a DA datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DaParams {
     /// Bit-serial cycles per sample (serial stream length `B`).
     pub input_bits: u8,
